@@ -188,7 +188,6 @@ mod tests {
             metrics: MetricsConfig {
                 clustering_samples: 600,
                 path_samples: 24,
-                path_visit_cap: 0,
                 seed: 3,
             },
             seed: 0x7AB2,
@@ -217,6 +216,26 @@ mod tests {
         // Small worlds all around.
         for m in [&r.periscope, &r.facebook, &r.twitter] {
             assert!((1.5..8.0).contains(&m.avg_path), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn default_table2_avg_path_bits_are_pinned() {
+        // Exact bits of the default `tab2` avg-path column, captured from
+        // the per-source queue BFS the bit-parallel pass replaced.
+        let r = run_table2(&SocialConfig::default());
+        for (name, m, bits) in [
+            ("periscope", &r.periscope, 0x4003_5ae6_2141_8d55_u64),
+            ("facebook", &r.facebook, 0x4005_a8df_de68_d11f),
+            ("twitter", &r.twitter, 0x4004_0c6d_85b3_e32c),
+        ] {
+            assert_eq!(
+                m.avg_path.to_bits(),
+                bits,
+                "{name}: avg_path {} ({:#018x})",
+                m.avg_path,
+                m.avg_path.to_bits()
+            );
         }
     }
 

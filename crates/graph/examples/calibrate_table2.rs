@@ -9,7 +9,6 @@ fn main() {
     let cfg = MetricsConfig {
         clustering_samples: 1000,
         path_samples: 48,
-        path_visit_cap: 0,
         seed: 1,
     };
     for (name, spec) in [

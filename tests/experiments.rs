@@ -105,6 +105,9 @@ fn table2_structure_contrasts() {
     assert!(report.facebook.assortativity > 0.0);
     assert!(report.twitter.assortativity < report.periscope.assortativity);
     assert!(report.facebook.clustering > report.twitter.clustering);
+    for m in [&report.periscope, &report.facebook, &report.twitter] {
+        assert!((1.5..8.0).contains(&m.avg_path), "{m:?}");
+    }
 }
 
 #[test]
