@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use livescope_graph::{DiGraph, GraphSpec};
 use livescope_proto::hls::ChunkList;
 use livescope_proto::rtmp::{RtmpMessage, VideoFrame};
-use livescope_sim::{Scheduler, SimDuration, SimTime};
+use livescope_sim::{RngPool, ShardId, ShardedScheduler, SimDuration, SimTime};
 
 fn bench_substrates(c: &mut Criterion) {
     // RTMP frame codec round-trip.
@@ -50,15 +50,17 @@ fn bench_substrates(c: &mut Criterion) {
     // Event scheduler throughput.
     c.bench_function("scheduler_10k_events", |b| {
         b.iter(|| {
-            let mut sched: Scheduler<u64> = Scheduler::new();
+            let mut sched =
+                ShardedScheduler::new(RngPool::new(1), vec![0u64], SimDuration::from_secs(1));
             for i in 0..10_000u64 {
-                sched.schedule_at(SimTime::from_micros(i * 7 % 9_999), |_, count| {
-                    *count += 1;
-                });
+                sched.schedule(
+                    ShardId(0),
+                    SimTime::from_micros(i * 7 % 9_999),
+                    Box::new(|_, count: &mut u64| *count += 1),
+                );
             }
-            let mut count = 0;
-            sched.run(&mut count);
-            assert_eq!(count, 10_000);
+            sched.run();
+            assert_eq!(sched.into_states(), vec![10_000]);
         })
     });
 

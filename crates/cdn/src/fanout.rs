@@ -25,9 +25,7 @@ use rand::Rng;
 use livescope_net::datacenters::{self, DatacenterId, Provider};
 use livescope_proto::rtmp::VideoFrame;
 use livescope_sim::rng::splitmix64;
-use livescope_sim::{
-    BackendEvent, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
-};
+use livescope_sim::{BackendEvent, RngPool, ShardId, ShardedScheduler, SimDuration, SimTime};
 use livescope_telemetry::span::{origin_fetch_span, viewer_deliver_span};
 use livescope_telemetry::{Section, SpanKind, Telemetry, TraceEvent};
 
@@ -146,7 +144,7 @@ pub struct PopStats {
 pub struct FanoutReport {
     /// One entry per POP, in shard order.
     pub per_pop: Vec<PopStats>,
-    /// Scheduler events executed across all shards.
+    /// Events executed across all shards.
     pub events_fired: u64,
     /// Digest over all deliveries (wrapping sum of per-POP checksums).
     pub checksum: u64,

@@ -1,16 +1,14 @@
 //! The sharded scheduler's determinism contract, end to end:
 //!
-//! * same seed ⇒ same trace **bytes**, for any lane count — checked on the
-//!   single-shard breakdown workload and on the multi-shard (mailbox-
-//!   crossing) celebrity fan-out workload, each run twice per lane count;
-//! * a one-shard `ShardedScheduler` run equals the legacy `Scheduler`
-//!   (`BackendChoice::Single`) event for event.
+//! same seed ⇒ same trace **bytes**, run after run and for any lane count.
+//! Checked on the one-shard breakdown workload (repeat runs: with a single
+//! shard there is nothing for lanes to split) and on the multi-shard
+//! (mailbox-crossing) celebrity fan-out workload, run twice per lane count.
 
 #![forbid(unsafe_code)]
 
 use livescope_cdn::{run_fanout, FanoutConfig};
 use livescope_core::experiments::breakdown::{self, BreakdownConfig};
-use livescope_sim::BackendChoice;
 use livescope_telemetry::{event, SharedBuffer, Telemetry, TraceEvent};
 
 const LANE_SWEEP: [usize; 3] = [1, 2, 6];
@@ -25,10 +23,10 @@ fn breakdown_config() -> BreakdownConfig {
 
 /// Runs the breakdown experiment with a JSONL sink and returns the raw
 /// trace bytes.
-fn breakdown_trace(backend: BackendChoice) -> Vec<u8> {
+fn breakdown_trace() -> Vec<u8> {
     let buf = SharedBuffer::new();
     let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    breakdown::run_traced_on(&breakdown_config(), &telemetry, backend);
+    breakdown::run_traced(&breakdown_config(), &telemetry);
     telemetry.flush();
     buf.contents()
 }
@@ -76,39 +74,21 @@ fn span_counts(bytes: &[u8]) -> (u64, u64) {
 
 #[test]
 fn breakdown_trace_bytes_are_identical_across_lane_counts() {
-    let reference = breakdown_trace(BackendChoice::Sharded { lanes: 1 });
+    let reference = breakdown_trace();
     assert!(!reference.is_empty(), "instrumented run must emit events");
     // The byte-compared trace must carry the causal spans — the
     // determinism contract covers them, not just the legacy events.
     let (opens, closes) = span_counts(&reference);
     assert!(opens > 0, "breakdown trace carries no span_open events");
     assert!(closes > 0, "breakdown trace carries no span_close events");
-    for lanes in LANE_SWEEP {
-        for run in 0..2 {
-            let trace = breakdown_trace(BackendChoice::Sharded { lanes });
-            assert!(
-                trace == reference,
-                "trace bytes diverged: lanes={lanes} run={run}"
-            );
-        }
+    // One shard: the lane count cannot reach this workload, so the
+    // contract reduces to run-to-run repeatability.
+    for run in 0..2 {
+        assert!(
+            breakdown_trace() == reference,
+            "trace bytes diverged: run={run}"
+        );
     }
-}
-
-#[test]
-fn sharded_lanes_1_matches_the_legacy_scheduler_event_for_event() {
-    let legacy = breakdown_trace(BackendChoice::Single);
-    let sharded = breakdown_trace(BackendChoice::Sharded { lanes: 1 });
-    let legacy_events = event::parse_jsonl(std::str::from_utf8(&legacy).expect("utf8"))
-        .expect("legacy trace parses");
-    let sharded_events = event::parse_jsonl(std::str::from_utf8(&sharded).expect("utf8"))
-        .expect("sharded trace parses");
-    assert!(!legacy_events.is_empty());
-    assert_eq!(legacy_events.len(), sharded_events.len());
-    for (i, (l, s)) in legacy_events.iter().zip(&sharded_events).enumerate() {
-        assert_eq!(l, s, "event #{i} differs");
-    }
-    // And the serialized bytes match too, not just the parsed events.
-    assert!(legacy == sharded, "byte-level divergence");
 }
 
 #[test]

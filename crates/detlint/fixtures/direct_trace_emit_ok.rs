@@ -1,5 +1,5 @@
 // Fixture: handler emission done right (through the EventCtx), plus a
-// legacy single-lane Ticker closure, which is *not* a handler and may
+// callback that takes no EventCtx, which is *not* a handler and may
 // write its sink directly. Zero findings.
 
 fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
@@ -9,7 +9,7 @@ fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
     }));
 }
 
-fn legacy_ticker(runtime: &mut Runtime, at: u64) {
+fn plain_callback(runtime: &mut Runtime, at: u64) {
     runtime.spawn(move |sched, world: &mut World| {
         world.telemetry.emit(at, tick_event(sched.now()));
     });

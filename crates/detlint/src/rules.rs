@@ -157,8 +157,8 @@ mid-epoch — interleaving depends on lane timing and the trace stops
 being byte-stable.
 
 Fix: build the TraceEvent and pass it to the handler's EventCtx
-parameter. Legacy single-lane `Ticker` closures (`|sched, world|`) are
-not handlers and may emit directly.
+parameter. Code that takes no EventCtx (plain methods, `|sched, world|`
+callbacks) is not a handler and may emit directly.
 
 Suppress (needs a reason):
     // detlint::allow(direct-trace-emit) — <why this sink is lane-local>",

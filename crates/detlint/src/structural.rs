@@ -836,8 +836,8 @@ mod tests {
 
     #[test]
     fn emit_outside_handlers_is_not_flagged() {
-        // Legacy Scheduler tickers (`|sched, world|`) and plain methods
-        // write the sink directly by design.
+        // Callbacks without an EventCtx (`|sched, world|`) and plain
+        // methods write the sink directly by design.
         let src = "fn f() { spawn(move |sched, world: &mut World| { world.telemetry.emit(t, ev); }); self.telemetry.emit(t, ev); }";
         assert!(rules_of("crates/crawler/src/x.rs", src).is_empty());
     }

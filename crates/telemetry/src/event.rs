@@ -203,13 +203,6 @@ pub enum TraceEvent {
         /// Span covered, in microseconds.
         duration_us: u64,
     },
-    /// Scheduler queue-depth sample (every N fired events).
-    QueueDepth {
-        /// Events pending in the queue.
-        depth: u64,
-        /// Total events fired so far.
-        fired: u64,
-    },
     /// The crawler's global-list sweep saw a broadcast for the first time.
     BroadcastDiscovered {
         /// Broadcast (stream) id.
@@ -292,7 +285,6 @@ impl TraceEvent {
             TraceEvent::JoinPlayout { .. } => "join_playout",
             TraceEvent::RtmpUnitDelivered { .. } => "rtmp_unit_delivered",
             TraceEvent::ChunkDelivered { .. } => "chunk_delivered",
-            TraceEvent::QueueDepth { .. } => "queue_depth",
             TraceEvent::BroadcastDiscovered { .. } => "broadcast_discovered",
             TraceEvent::ProbeSample { .. } => "probe_sample",
             TraceEvent::OverlayFrameDelivered { .. } => "overlay_frame_delivered",
@@ -448,9 +440,6 @@ impl TimedEvent {
                 fields!("broadcast": broadcast, "viewer": viewer, "seq": seq, "pop": pop,
                         "available_at_pop_us": available_at_pop_us, "discovered_us": discovered_us,
                         "arrival_us": arrival_us, "duration_us": duration_us)
-            }
-            TraceEvent::QueueDepth { depth, fired } => {
-                fields!("depth": depth, "fired": fired)
             }
             TraceEvent::BroadcastDiscovered {
                 broadcast,
@@ -642,10 +631,6 @@ fn parse_line(line: &str) -> Result<TimedEvent, String> {
             arrival_us: u("arrival_us")?,
             duration_us: u("duration_us")?,
         },
-        "queue_depth" => TraceEvent::QueueDepth {
-            depth: u("depth")?,
-            fired: u("fired")?,
-        },
         "broadcast_discovered" => TraceEvent::BroadcastDiscovered {
             broadcast: u("broadcast")?,
             started_us: u("started_us")?,
@@ -733,13 +718,6 @@ mod tests {
                     avg_buffering_us: 6_900_000,
                     stall_us: 250_000,
                     stall_ratio_ppm: 4_200,
-                },
-            },
-            TimedEvent {
-                t_us: 10,
-                event: TraceEvent::QueueDepth {
-                    depth: 12,
-                    fired: 1024,
                 },
             },
             TimedEvent {

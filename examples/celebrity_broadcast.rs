@@ -10,10 +10,12 @@
 //! cargo run -p livescope-examples --release --bin celebrity_broadcast
 //! # per-POP delivery on 6 worker lanes (same output as any other lane count):
 //! cargo run -p livescope-examples --release --features parallel \
-//!     --bin celebrity_broadcast -- --backend sharded --lanes 6
+//!     --bin celebrity_broadcast -- --lanes 6
 //! ```
 
 #![forbid(unsafe_code)]
+
+use std::process::ExitCode;
 
 use livescope_cdn::control::ControlError;
 use livescope_cdn::ids::UserId;
@@ -21,36 +23,42 @@ use livescope_cdn::{run_fanout, Cluster, FanoutConfig};
 use livescope_net::datacenters;
 use livescope_net::geo::GeoPoint;
 use livescope_proto::message::{ChatEvent, EventKind, COMMENTER_CAP};
-use livescope_sim::{BackendChoice, RngPool, SimDuration, SimTime};
+use livescope_sim::{RngPool, SimDuration, SimTime};
 use livescope_telemetry::Telemetry;
 
-/// Parses `--backend single|sharded` and `--lanes N` (defaults: sharded, 1).
-fn parse_cli() -> BackendChoice {
-    let args: Vec<String> = std::env::args().collect();
-    let mut backend = "sharded".to_string();
-    let mut lanes = 1usize;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backend" if i + 1 < args.len() => {
-                backend = args[i + 1].clone();
-                i += 2;
+const USAGE: &str = "usage: celebrity_broadcast [--lanes N]  (N >= 1, default 1)";
+
+/// Parses the arguments after the program name: an optional `--lanes N`
+/// worker-lane count (default 1). Unknown flags, a missing or
+/// non-numeric value and `--lanes 0` are errors.
+fn parse_lanes(args: &[String]) -> Result<usize, String> {
+    let mut lanes = 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--lanes" => {
+                let value = args.next().ok_or("--lanes needs a value")?;
+                lanes = match value.parse() {
+                    Ok(0) => return Err("--lanes must be at least 1".to_string()),
+                    Ok(n) => n,
+                    Err(_) => return Err(format!("--lanes takes a number, got {value:?}")),
+                };
             }
-            "--lanes" if i + 1 < args.len() => {
-                lanes = args[i + 1].parse().expect("--lanes takes a number");
-                i += 2;
-            }
-            other => {
-                eprintln!("usage: celebrity_broadcast [--backend single|sharded] [--lanes N]");
-                panic!("unknown argument {other:?}");
-            }
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    BackendChoice::parse(&backend, lanes).expect("valid backend")
+    Ok(lanes)
 }
 
-fn main() {
-    let choice = parse_cli();
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let lanes = match parse_lanes(&args) {
+        Ok(lanes) => lanes,
+        Err(err) => {
+            eprintln!("celebrity_broadcast: {err}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let pool = RngPool::new(7);
     let mut cluster = Cluster::new(&pool, SimDuration::from_secs(3), COMMENTER_CAP as u64);
 
@@ -148,13 +156,8 @@ fn main() {
 
     // The HLS delivery itself: every anycast POP the audience landed on
     // becomes one scheduler shard, and viewers roaming between POPs travel
-    // through the inter-lane mailboxes. `--backend single` runs the same
-    // shards on one lane; the per-seed output below is byte-identical for
-    // either backend and any `--lanes` value.
-    let lanes = match choice {
-        BackendChoice::Single => 1,
-        BackendChoice::Sharded { lanes } => lanes,
-    };
+    // through the inter-lane mailboxes. The per-seed output below is
+    // byte-identical for any `--lanes` value.
     let config = FanoutConfig {
         pops: hls_by_pop
             .keys()
@@ -168,8 +171,38 @@ fn main() {
     };
     let report = run_fanout(&config, lanes, &Telemetry::disabled());
     println!(
-        "\nHLS delivery, {} POPs as scheduler shards ({choice}):",
+        "\nHLS delivery, {} POPs as scheduler shards (lanes={lanes}):",
         config.pops.len()
     );
     print!("{}", report.render());
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_lanes;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        parse_lanes(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_lanes_accepts_defaults_and_counts() {
+        assert_eq!(parse(&[]), Ok(1));
+        assert_eq!(parse(&["--lanes", "6"]), Ok(6));
+    }
+
+    #[test]
+    fn parse_lanes_rejects_bad_input() {
+        for bad in [
+            &["--backend", "sharded"][..],
+            &["--verbose"],
+            &["--lanes"],
+            &["--lanes", "six"],
+            &["--lanes", "-1"],
+            &["--lanes", "0"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -57,7 +57,7 @@ cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only --s
 echo "==> graph-build K-sweep smoke with scoped worker threads (--features parallel)"
 cargo run --release -q -p livescope-bench --features parallel --bin bench_replay -- --graph-only --smoke
 
-echo "==> obs_report smoke (report bytes identical across backends, lanes 1/2/6)"
+echo "==> obs_report smoke (breakdown bytes repeat; celebrity identical at lanes 1/2/6)"
 cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
 
 echo "==> bench-regression gate (fresh artifact vs baselines/)"

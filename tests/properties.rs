@@ -286,36 +286,46 @@ proptest! {
 
     #[test]
     fn scheduler_fires_all_events_in_time_order(
-        times in proptest::collection::vec(0u64..100_000, 1..200),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..200),
+        events in proptest::collection::vec((0u64..100_000, any::<u16>()), 1..200),
+        shards in 1usize..5,
     ) {
-        use livescope_sim::{Scheduler, SimTime};
-        let mut sched: Scheduler<Vec<(u64, usize)>> = Scheduler::new();
-        let mut expected = Vec::new();
-        let mut ids = Vec::new();
-        for (i, &t) in times.iter().enumerate() {
-            let id = sched.schedule_at(SimTime::from_micros(t), move |sched, log: &mut Vec<(u64, usize)>| {
-                log.push((sched.now().as_micros(), i));
-            });
-            ids.push(id);
-        }
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                sched.cancel(*id);
-                cancelled.insert(i);
+        use livescope_sim::{RngPool, ShardId, ShardedScheduler};
+        // Each event lands on a random shard; 10 ms epochs put many
+        // barriers inside the 100 ms span.
+        let shard_of = |key: u16| key as usize % shards;
+        let run = |lanes: usize| {
+            let mut sched = ShardedScheduler::new(
+                RngPool::new(11),
+                vec![Vec::new(); shards],
+                SimDuration::from_millis(10),
+            )
+            .with_lanes(lanes);
+            for (i, &(t, key)) in events.iter().enumerate() {
+                sched.schedule(
+                    ShardId(shard_of(key) as u16),
+                    SimTime::from_micros(t),
+                    Box::new(move |ctx, log: &mut Vec<(u64, usize)>| {
+                        log.push((ctx.now().as_micros(), i));
+                    }),
+                );
             }
+            sched.run();
+            sched.into_states()
+        };
+        let states = run(1);
+        for (shard, log) in states.iter().enumerate() {
+            // Stable by (time, insertion order) — the determinism contract.
+            let mut expected: Vec<(u64, usize)> = events
+                .iter()
+                .enumerate()
+                .filter(|&(_, &(_, key))| shard_of(key) == shard)
+                .map(|(i, &(t, _))| (t, i))
+                .collect();
+            expected.sort_unstable();
+            prop_assert_eq!(log, &expected);
         }
-        for (i, &t) in times.iter().enumerate() {
-            if !cancelled.contains(&i) {
-                expected.push((t, i));
-            }
-        }
-        // Stable by (time, insertion order) — the determinism contract.
-        expected.sort_by_key(|&(t, i)| (t, i));
-        let mut log = Vec::new();
-        sched.run(&mut log);
-        prop_assert_eq!(log, expected);
+        // Lanes are a throughput knob only.
+        prop_assert_eq!(run(shards), states);
     }
 
     #[test]

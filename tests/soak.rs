@@ -8,8 +8,7 @@
 use livescope_cdn::ids::{BroadcastId, UserId};
 use livescope_cdn::Cluster;
 use livescope_net::geo::GeoPoint;
-use livescope_sim::process::{Tick, Ticker};
-use livescope_sim::{RngPool, Scheduler, SimDuration, SimTime};
+use livescope_sim::{EventCtx, RngPool, ShardId, ShardedScheduler, SimDuration, SimTime};
 use livescope_workload::{generate, ScenarioConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +21,51 @@ struct SoakWorld {
     polls: u64,
     joins: u64,
     live_tokens: std::collections::HashMap<BroadcastId, String>,
+}
+
+/// Ingests frame `i` of `frames` at one frame per second until the
+/// broadcast ends, re-arming itself after each frame.
+fn ingest(
+    ctx: &mut dyn EventCtx<SoakWorld>,
+    world: &mut SoakWorld,
+    id: BroadcastId,
+    i: u64,
+    frames: u64,
+) {
+    if i >= frames || !world.live_tokens.contains_key(&id) {
+        return;
+    }
+    let frame = livescope_proto::rtmp::VideoFrame::new(
+        i,
+        i * 1_000_000,
+        i.is_multiple_of(3),
+        bytes::Bytes::from(vec![3u8; 1_200]),
+    );
+    let outcome = world
+        .cluster
+        .ingest_decoded(ctx.now(), id, frame)
+        .expect("live session ingests");
+    world.frames_ingested += 1;
+    world.chunks_completed += outcome.completed_chunk.is_some() as u64;
+    ctx.schedule_in(
+        SimDuration::from_secs(1),
+        Box::new(move |ctx, world| ingest(ctx, world, id, i + 1, frames)),
+    );
+}
+
+/// One HLS poll every 2.8 s while the broadcast is live.
+fn poll(ctx: &mut dyn EventCtx<SoakWorld>, world: &mut SoakWorld, id: BroadcastId) {
+    if !world.live_tokens.contains_key(&id) {
+        return;
+    }
+    let pop = livescope_net::datacenters::DatacenterId(8 + (world.polls % 23) as u16);
+    if world.cluster.poll_hls(ctx.now(), id, pop).is_ok() {
+        world.polls += 1;
+    }
+    ctx.schedule_in(
+        SimDuration::from_millis(2_800),
+        Box::new(move |ctx, world| poll(ctx, world, id)),
+    );
 }
 
 #[test]
@@ -46,8 +90,7 @@ fn a_day_of_workload_runs_clean_through_the_cluster() {
     //    rate to keep the soak fast; mechanisms are rate-independent) →
     //    a few HLS polls → end.
     let pool = RngPool::new(0x50AC);
-    let mut sched: Scheduler<SoakWorld> = Scheduler::new();
-    let mut world = SoakWorld {
+    let world = SoakWorld {
         cluster: Cluster::new(&pool, SimDuration::from_secs(3), 100),
         rng: SmallRng::seed_from_u64(pool.stream_seed("drive")),
         frames_ingested: 0,
@@ -56,102 +99,82 @@ fn a_day_of_workload_runs_clean_through_the_cluster() {
         joins: 0,
         live_tokens: std::collections::HashMap::new(),
     };
+    let mut sched = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1));
 
     for record in broadcasts.iter().take(150) {
         let start = record.start;
         let duration = record.duration.min(SimDuration::from_secs(120));
         let broadcaster = UserId(record.broadcaster as u64 + 1_000_000);
         let audience = record.viewers.min(25);
-        sched.schedule_at(start, move |sched, world: &mut SoakWorld| {
-            let location = GeoPoint::new(
-                world.rng.gen_range(-50.0..60.0),
-                world.rng.gen_range(-120.0..140.0),
-            );
-            let grant = world
-                .cluster
-                .create_broadcast(sched.now(), broadcaster, &location);
-            world
-                .cluster
-                .connect_publisher(sched.now(), grant.id, &grant.token)
-                .expect("fresh broadcast");
-            world.live_tokens.insert(grant.id, grant.token.clone());
-            let id = grant.id;
-            // Viewers join over the first seconds.
-            for v in 0..audience {
-                let delay = SimDuration::from_millis(world.rng.gen_range(0..5_000));
-                sched.schedule_in(delay, move |sched, world: &mut SoakWorld| {
-                    let loc = GeoPoint::new(
-                        world.rng.gen_range(-50.0..60.0),
-                        world.rng.gen_range(-120.0..140.0),
+        sched.schedule(
+            ShardId(0),
+            start,
+            Box::new(move |ctx, world: &mut SoakWorld| {
+                let location = GeoPoint::new(
+                    world.rng.gen_range(-50.0..60.0),
+                    world.rng.gen_range(-120.0..140.0),
+                );
+                let grant = world
+                    .cluster
+                    .create_broadcast(ctx.now(), broadcaster, &location);
+                world
+                    .cluster
+                    .connect_publisher(ctx.now(), grant.id, &grant.token)
+                    .expect("fresh broadcast");
+                world.live_tokens.insert(grant.id, grant.token.clone());
+                let id = grant.id;
+                // Viewers join over the first seconds.
+                for v in 0..audience {
+                    let delay = SimDuration::from_millis(world.rng.gen_range(0..5_000));
+                    ctx.schedule_in(
+                        delay,
+                        Box::new(move |ctx, world: &mut SoakWorld| {
+                            let loc = GeoPoint::new(
+                                world.rng.gen_range(-50.0..60.0),
+                                world.rng.gen_range(-120.0..140.0),
+                            );
+                            if world
+                                .cluster
+                                .join_viewer(ctx.now(), id, UserId(v + 2_000_000), &loc)
+                                .is_ok()
+                            {
+                                world.joins += 1;
+                            }
+                        }),
                     );
-                    if world
-                        .cluster
-                        .join_viewer(sched.now(), id, UserId(v + 2_000_000), &loc)
-                        .is_ok()
-                    {
-                        world.joins += 1;
-                        let _ = sched;
-                    }
-                });
-            }
-            // Ingest ticker: one frame per second until the end.
-            let frames = duration.as_secs_f64() as u64;
-            let mut i = 0u64;
-            Ticker::spawn(
-                sched,
-                sched.now(),
-                SimDuration::from_secs(1),
-                move |sched, world: &mut SoakWorld| {
-                    if i >= frames || !world.live_tokens.contains_key(&id) {
-                        return Tick::Stop;
-                    }
-                    let frame = livescope_proto::rtmp::VideoFrame::new(
-                        i,
-                        i * 1_000_000,
-                        i.is_multiple_of(3),
-                        bytes::Bytes::from(vec![3u8; 1_200]),
-                    );
-                    let outcome = world
-                        .cluster
-                        .ingest_decoded(sched.now(), id, frame)
-                        .expect("live session ingests");
-                    world.frames_ingested += 1;
-                    world.chunks_completed += outcome.completed_chunk.is_some() as u64;
-                    i += 1;
-                    Tick::Again
-                },
-            );
-            // One HLS poller per broadcast.
-            Ticker::spawn(
-                sched,
-                sched.now() + SimDuration::from_secs(4),
-                SimDuration::from_millis(2_800),
-                move |sched, world: &mut SoakWorld| {
-                    if !world.live_tokens.contains_key(&id) {
-                        return Tick::Stop;
-                    }
-                    let pop =
-                        livescope_net::datacenters::DatacenterId(8 + (world.polls % 23) as u16);
-                    if world.cluster.poll_hls(sched.now(), id, pop).is_ok() {
-                        world.polls += 1;
-                    }
-                    Tick::Again
-                },
-            );
-            // Schedule the end.
-            sched.schedule_in(duration, move |sched, world: &mut SoakWorld| {
-                if let Some(token) = world.live_tokens.remove(&id) {
-                    world
-                        .cluster
-                        .end_broadcast(sched.now(), id, &token)
-                        .expect("live broadcast ends once");
                 }
-            });
-        });
+                // Ingest: one frame per second until the end.
+                let frames = duration.as_secs_f64() as u64;
+                ctx.schedule_in(
+                    SimDuration::ZERO,
+                    Box::new(move |ctx, world| ingest(ctx, world, id, 0, frames)),
+                );
+                // One HLS poller per broadcast.
+                ctx.schedule_in(
+                    SimDuration::from_secs(4),
+                    Box::new(move |ctx, world| poll(ctx, world, id)),
+                );
+                // Schedule the end.
+                ctx.schedule_in(
+                    duration,
+                    Box::new(move |ctx, world: &mut SoakWorld| {
+                        if let Some(token) = world.live_tokens.remove(&id) {
+                            world
+                                .cluster
+                                .end_broadcast(ctx.now(), id, &token)
+                                .expect("live broadcast ends once");
+                        }
+                    }),
+                );
+            }),
+        );
     }
 
     let horizon = SimTime::from_secs(90_000);
-    sched.run_until(horizon, &mut world);
+    sched.run_until(horizon);
+    // The scheduler drained everything we scheduled.
+    assert_eq!(sched.pending(), 0, "events left in the queue");
+    let world = sched.into_states().pop().expect("one shard");
 
     // 3. Invariants.
     assert_eq!(
@@ -184,6 +207,4 @@ fn a_day_of_workload_runs_clean_through_the_cluster() {
         total_chunks >= world.chunks_completed,
         "flushes may add chunks"
     );
-    // The scheduler drained everything we scheduled.
-    assert_eq!(sched.pending(), 0, "events left in the queue");
 }
